@@ -11,6 +11,8 @@ graph partitioner.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import networkx as nx
@@ -54,6 +56,14 @@ class BayesNode:
             raise ValueError(f"node {self.name}: CPT rows must sum to 1")
 
 
+def _cumulative_rows(cpt: np.ndarray) -> dict[tuple, tuple[float, ...]]:
+    """``{parent_values: cumsum(cpt[parent_values])}`` for every parent
+    combination, rows as float tuples (``()`` keys a parentless prior)."""
+    cum = cpt.cumsum(axis=-1)
+    keys = itertools.product(*map(range, cpt.shape[:-1]))
+    return dict(zip(keys, map(tuple, cum.reshape(-1, cpt.shape[-1]).tolist())))
+
+
 class BayesianNetwork:
     """A validated belief network with sampling support."""
 
@@ -86,11 +96,12 @@ class BayesianNetwork:
         self.topo_order: list[int] = list(
             nx.lexicographical_topological_sort(self._dag)
         )
-        # cumulative CPTs for the fast scalar sampling path (parallel
-        # samplers draw one node of one run at a time; a row lookup plus
-        # searchsorted is ~50x cheaper than the batch path for batch=1)
-        self._cum_cpt: dict[int, np.ndarray] = {
-            n.name: n.cpt.cumsum(axis=-1) for n in nodes
+        # cumulative CPT rows for the scalar sampling path, as Python
+        # float tuples keyed by the parent-value tuple: the parallel
+        # samplers draw one node of one run at a time, where a dict lookup
+        # plus ``bisect`` costs a fraction of a numpy call on one scalar
+        self._cum_rows: dict[int, dict[tuple, tuple[float, ...]]] = {
+            n.name: _cumulative_rows(n.cpt) for n in nodes
         }
 
     # -- structure (Table 2's rows) --------------------------------------
@@ -153,11 +164,13 @@ class BayesianNetwork:
         self, name: int, parent_values: tuple, u: float
     ) -> int:
         """Sample one node for one run given scalar parent values and a
-        uniform draw ``u`` (the parallel samplers' hot path)."""
-        row = self._cum_cpt[name]
-        if parent_values:
-            row = row[parent_values]
-        return int(np.searchsorted(row, u, side="right"))
+        uniform draw ``u`` (the parallel samplers' hot path).
+
+        ``parent_values`` is a tuple of ints in ``parents`` order.  The
+        result is ``np.searchsorted(cumsum(row), u, side="right")``,
+        computed by ``bisect_right`` on the precomputed float row.
+        """
+        return bisect_right(self._cum_rows[name][parent_values], u)
 
     def ancestral_samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` full joint samples; returns ``(n, n_nodes)`` indexed by

@@ -308,32 +308,46 @@ def run_parallel_logic_sampling(
                 if cost:
                     yield Compute(cost)
 
+            if sync:
+                # per stage s: the (writer, stage) publications to fetch
+                # first, and the sampling plan of our stage-s nodes
+                needs = sorted(sync_needs[p])
+                max_stage = max((stage[v] for v in st.own_nodes), default=0)
+                stages = [
+                    (
+                        [(w, ws) for (w, ws) in needs if ws == s - 1],
+                        st.compile_plan([v for v in st.own_nodes if stage[v] == s]),
+                    )
+                    for s in range(max_stage + 1)
+                ]
+
             def sync_iteration(t: int):
                 """One lock-step run: staged exchange, actual values only."""
                 yield from task.barrier(range(cfg.n_procs))
                 vals: dict[int, int] = {}
-                max_stage = max((stage[v] for v in st.own_nodes), default=0)
-                for s in range(0, max_stage + 1):
-                    for (w, ws) in sorted(sync_needs[p]):
-                        if ws != s - 1:
-                            continue
+                get, remote = vals.__getitem__, st.remote_values
+                sample = net.sample_node_scalar
+                for s, (reads, plan) in enumerate(stages):
+                    for (w, ws) in reads:
                         copy = yield from dnode.global_read(f"ifr.{w}.{ws}", t, 0)
                         _, arrived = copy.value
                         for u, val in zip(sync_pubs[w][ws], arrived):
-                            st.remote_values[(u, t)] = int(val)
-                    stage_nodes = [v for v in st.own_nodes if stage[v] == s]
-                    us = rng.random(len(stage_nodes))
-                    for i, v in enumerate(stage_nodes):
-                        nd = net.nodes[v]
-                        pv = tuple(
-                            vals[u] if u in st.own_set else st.remote_values[(u, t)]
-                            for u in nd.parents
-                        )
-                        vals[v] = net.sample_node_scalar(v, pv, us[i])
-                    if stage_nodes:
+                            remote[(u, t)] = int(val)
+                    for (v, parents, local), u in zip(
+                        plan, rng.random(len(plan)).tolist()
+                    ):
+                        if local:
+                            pv = tuple(map(get, parents))
+                        else:
+                            pv = tuple(
+                                vals[q] if q in st.own_set else remote[(q, t)]
+                                for q in parents
+                            )
+                        vals[v] = sample(v, pv, u)
+                    if plan:
                         yield Compute(
                             node.cost(
-                                cfg.costs.sample_per_node * len(stage_nodes),
+                                cfg.costs.sample_per_node * len(plan),
                                 label="sample",
                             )
                         )

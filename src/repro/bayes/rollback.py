@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import networkx as nx
 import numpy as np
 
 from repro.bayes.network import BayesianNetwork
-from repro.obs.prof import prof_section
+from repro.obs.prof import current as current_profiler
 
 
 @dataclass
@@ -186,15 +187,18 @@ class ProcessorState:
         )
         #: procs we depend on
         self.writers = sorted(set(self.remote_parents.values()))
-        #: descendants of each remote parent within our partition, in
-        #: topological order (the rollback recompute set)
-        self._affected: dict[int, list[int]] = {}
+        self._iface_set = set(self.interface_nodes)
+        #: sampling plans (see :meth:`compile_plan`), built once per run:
+        #: every own node, and per remote parent the rollback recompute
+        #: set — its descendants in our partition, in topological order
+        self._plan = self.compile_plan(self.own_nodes)
+        self._affected_plans: dict[int, list[tuple[int, tuple, bool]]] = {}
         dag = net.dag()
-        import networkx as nx
-
         for u in self.remote_parents:
             desc = nx.descendants(dag, u) & self.own_set
-            self._affected[u] = [v for v in self.own_nodes if v in desc]
+            self._affected_plans[u] = self.compile_plan(
+                [v for v in self.own_nodes if v in desc]
+            )
 
         # optimistic state
         self.own_values: dict[int, dict[int, int]] = {}  # t -> {node: value}
@@ -215,6 +219,17 @@ class ProcessorState:
         self.obs = None
 
     # ------------------------------------------------------------------
+    def compile_plan(self, nodes: list[int]) -> list[tuple[int, tuple, bool]]:
+        """``(node, parents, all_parents_local)`` per node of ``nodes``,
+        in order: what the sampling loops need without re-deriving it
+        from the network for every node of every run."""
+        own = self.own_set
+        plan = []
+        for v in nodes:
+            parents = self.net.nodes[v].parents
+            plan.append((v, parents, all(u in own for u in parents)))
+        return plan
+
     def input_value(self, u: int, t: int, oracle: GvtOracle) -> int:
         """Value of remote parent ``u`` for run ``t``: the actual if we
         have it, else the default (opening a gamble).
@@ -236,17 +251,27 @@ class ProcessorState:
 
     def sample_iteration(self, t: int, rng: np.random.Generator, oracle: GvtOracle) -> None:
         """Sample all own nodes for run ``t`` (optimistically)."""
-        with prof_section("numpy.bayes"):
+        prof = current_profiler()
+        if prof is not None:
+            prof.push("app.bayes")
+        try:
+            own, sample = self.own_set, self.net.sample_node_scalar
             vals: dict[int, int] = {}
-            us = rng.random(len(self.own_nodes))
-            for i, v in enumerate(self.own_nodes):
-                node = self.net.nodes[v]
-                pv = tuple(
-                    vals[u] if u in self.own_set else self.input_value(u, t, oracle)
-                    for u in node.parents
-                )
-                vals[v] = self.net.sample_node_scalar(v, pv, us[i])
+            get = vals.__getitem__
+            plan = self._plan
+            for (v, parents, local), u in zip(plan, rng.random(len(plan)).tolist()):
+                if local:
+                    pv = tuple(map(get, parents))
+                else:
+                    pv = tuple(
+                        vals[p] if p in own else self.input_value(p, t, oracle)
+                        for p in parents
+                    )
+                vals[v] = sample(v, pv, u)
             self.own_values[t] = vals
+        finally:
+            if prof is not None:
+                prof.pop()
         oracle.sampled(self.proc, t)
 
     def apply_actual(
@@ -323,28 +348,32 @@ class ProcessorState:
         vals = self.own_values.get(t)
         if vals is None:
             return []  # not sampled yet; the stored actual will be used
-        affected = self._affected[u]
-        self.stats.nodes_resampled += len(affected)
-        self.stats.record_rollback_depth(len(affected))
+        plan = self._affected_plans[u]
+        depth = len(plan)
+        self.stats.nodes_resampled += depth
+        self.stats.record_rollback_depth(depth)
         if self.obs is not None:
             # cause ∈ {gamble, actual, correction}; writer = the process
             # owning the triggering input — the parent edge of a cascade
             self.obs.emit(
-                "rb.begin", node=self.proc, input=u, iter=t, depth=len(affected),
+                "rb.begin", node=self.proc, input=u, iter=t, depth=depth,
                 cause=cause, writer=self.remote_parents.get(u, -1), version=version,
             )
         changed: list[tuple[int, int, int, int]] = []
-        us = rng.random(len(affected))
-        for i, v in enumerate(affected):
-            node = self.net.nodes[v]
-            pv = tuple(
-                vals[p] if p in self.own_set else self.input_value(p, t, oracle)
-                for p in node.parents
-            )
-            new = self.net.sample_node_scalar(v, pv, us[i])
+        own, iface, sample = self.own_set, self._iface_set, self.net.sample_node_scalar
+        get = vals.__getitem__
+        for (v, parents, local), r in zip(plan, rng.random(len(plan)).tolist()):
+            if local:
+                pv = tuple(map(get, parents))
+            else:
+                pv = tuple(
+                    vals[p] if p in own else self.input_value(p, t, oracle)
+                    for p in parents
+                )
+            new = sample(v, pv, r)
             if new != vals[v]:
                 vals[v] = new
-                if v in self.interface_nodes and t <= self.published_upto:
+                if v in iface and t <= self.published_upto:
                     ver = self.sent_versions.get((v, t), 0) + 1
                     self.sent_versions[(v, t)] = ver
                     changed.append((v, t, new, ver))
@@ -352,7 +381,7 @@ class ProcessorState:
         if self.obs is not None:
             self.obs.emit(
                 "rb.end", node=self.proc, input=u, iter=t,
-                depth=len(affected), corrections=len(changed),
+                depth=depth, corrections=len(changed),
             )
         return changed
 

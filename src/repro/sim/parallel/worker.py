@@ -16,7 +16,7 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass
 
-from repro.sim.parallel.channel import DONE, ERR, RecordFeed
+from repro.sim.parallel.channel import BYE, DONE, ERR, RecordFeed
 from repro.sim.parallel.plan import ShardPlan
 
 
@@ -70,12 +70,15 @@ def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
             deactivate()
             outcome.prof = prof.snapshot()
         conn.send((DONE, shard_id, outcome))
-        # Linger until the coordinator closes the pipe: it may still be
-        # routing records to us for streams we have already finished, and
-        # exiting early would turn those sends into broken pipes.
+        # Linger until the coordinator says BYE (or closes the pipe): it
+        # may still be routing records to us for streams we have already
+        # finished, and exiting early would turn those sends into broken
+        # pipes.  EOF alone is not enough — under fork every worker
+        # inherits the coordinator's end of its own pipe, so it never sees
+        # EOF while it holds that copy.
         try:
-            while True:
-                conn.recv()
+            while conn.recv()[0] != BYE:
+                pass
         except EOFError:
             pass
     except BaseException:

@@ -136,6 +136,21 @@ def test_golden_digest_unmoved_with_profiling_on():
     assert snap["attributed_fraction"] > 0.5
 
 
+def test_bayes_golden_unmoved_with_profiling_on():
+    """The GOLDEN bayes_result recipe under the ambient profiler: digest
+    identical, and each sampling iteration charged to ``app.bayes``."""
+    from repro.bench.determinism import GOLDEN, bayes_result_digest
+
+    prof = activate(HostProfiler())
+    try:
+        digest = bayes_result_digest()
+    finally:
+        deactivate()
+    assert digest == GOLDEN["bayes_result"]
+    assert prof.snapshot()["sections"]["app.bayes"]["calls"] > 0
+    assert current() is None
+
+
 def test_switched_golden_unmoved_with_profiling_on():
     from repro.experiments.scale_study import SWITCHED_GOLDEN, golden_scenarios
     from repro.ga.island import run_island_ga

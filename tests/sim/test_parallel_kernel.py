@@ -107,6 +107,46 @@ def test_sharded_chaos_digest_unchanged(golden_island, shards):
     assert digest == CHAOS_GOLDEN["ga-lossless-chaos"]
 
 
+def test_workers_exit_cleanly_on_bye(golden_island, monkeypatch):
+    """Teardown regression: a worker that has sent DONE must leave on the
+    coordinator's BYE.  Under fork it inherits the coordinator's end of
+    its own pipe and never sees EOF, so waiting for EOF alone made every
+    sharded run sit out ``join(timeout=10)`` per worker, then SIGTERM it
+    (exit code -15)."""
+    import time
+
+    from repro.sim.parallel import coordinator
+
+    procs, done_at = [], []
+    real_ctx, real_route = coordinator._mp_context(), coordinator._route
+
+    class RecordingContext:
+        def Pipe(self, *a, **kw):
+            return real_ctx.Pipe(*a, **kw)
+
+        def Process(self, *a, **kw):
+            proc = real_ctx.Process(*a, **kw)
+            procs.append(proc)
+            return proc
+
+    def route(*args):
+        out = real_route(*args)
+        done_at.append(time.perf_counter())  # every shard has reported DONE
+        return out
+
+    monkeypatch.setattr(coordinator, "_mp_context", RecordingContext)
+    monkeypatch.setattr(coordinator, "_route", route)
+    result = run_island_ga(golden_island(), shards=2)
+    returned_at = time.perf_counter()
+    info = result.metrics["parallel"]
+    if not info["sharded"]:  # pragma: no cover - platform without procs
+        pytest.skip(f"worker processes unavailable: {info['fallback']}")
+    assert ga_digest(result) == GOLDEN["ga_result"]
+    assert len(procs) == 2
+    assert [p.exitcode for p in procs] == [0, 0]
+    assert returned_at - done_at[0] < 5.0
+
+
 def test_noisy_function_falls_back_to_serial(golden_island):
     cfg = replace(golden_island(), fn=get_function(4), n_generations=5)
     result = run_island_ga(cfg, shards=2)
