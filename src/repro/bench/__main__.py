@@ -16,7 +16,7 @@ from repro.bench.harness import make_payload, next_bench_path, write_bench
 from repro.bench.micro import run_micro
 from repro.bench.suite import run_suite
 from repro.experiments.config import Scale
-from repro.experiments.runner import configured_jobs
+from repro.experiments.runner import resolve_jobs
 
 _SCALES = {"smoke": Scale.smoke, "default": Scale.default, "full": Scale.full}
 
@@ -27,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.bench")
     parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
     parser.add_argument("--out", default=None, help="output path (default: next BENCH_<n>.json)")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel worker count (default: REPRO_JOBS)")
+    parser.add_argument("--jobs", type=int, default=None, help="parallel worker count; 0 = one per CPU (default: REPRO_JOBS)")
     parser.add_argument("--repeat", type=int, default=2, help="micro-benchmark repeats (best-of)")
     parser.add_argument("--skip-suite", action="store_true", help="micro + digests only")
     parser.add_argument(
@@ -53,15 +53,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     scale = _SCALES[args.scale]()
-    jobs = configured_jobs() if args.jobs is None else args.jobs
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"[bench] micro (repeat={args.repeat}) ...", flush=True)
     micro = run_micro(repeat=args.repeat)
-
-    print("[bench] parallel kernel (2-shard identity + speedup) ...", flush=True)
-    from repro.bench.parallel import bench_parallel
-
-    micro.update(bench_parallel())
 
     print("[bench] switched fabric (O(1) per-message check) ...", flush=True)
     from repro.bench.fabric import bench_fabric

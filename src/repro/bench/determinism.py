@@ -67,6 +67,22 @@ def digest_values(*values: Any) -> str:
     return h.hexdigest()
 
 
+def ga_digest(result) -> str:
+    """Digest of one island-GA run's result (the GOLDEN ``ga_result`` and
+    SWITCHED_GOLDEN recipe)."""
+    return digest_values(
+        result.completion_time,
+        result.total_time,
+        result.best_fitness,
+        result.mean_fitness,
+        [float(b) for b in result.per_deme_best],
+        list(result.generations_run),
+        result.messages_sent,
+        result.mean_warp,
+        result.max_warp,
+    )
+
+
 def kernel_trace_digest(n_workers: int = 12, n_steps: int = 64) -> str:
     """Trace digest of the mixed kernel workload (pure-Python floats)."""
     from repro.bench.micro import build_kernel_workload
@@ -96,17 +112,7 @@ def ga_result_digest(seed: int = 7) -> str:
             machine=machine_for(Scale.smoke(), 2, seed),
         )
     )
-    return digest_values(
-        result.completion_time,
-        result.total_time,
-        result.best_fitness,
-        result.mean_fitness,
-        [float(b) for b in result.per_deme_best],
-        list(result.generations_run),
-        result.messages_sent,
-        result.mean_warp,
-        result.max_warp,
-    )
+    return ga_digest(result)
 
 
 def bayes_result_digest(seed: int = 7) -> str:

@@ -17,24 +17,16 @@ from repro.bench.harness import timed
 from repro.experiments.config import Scale
 
 
-def parallel_skip_info(jobs: int, cpu_count: int, mcfg=None) -> dict:
+def parallel_skip_info(jobs: int, cpu_count: int) -> dict:
     """The figure2 block's skip record when no fan-out speedup is measurable.
 
     A measured speedup needs both a fan-out (jobs > 1) and a second core
     to fan out onto; otherwise record *why* it was skipped instead of a
-    misleading 1.0 — plus the interconnect fabric and its conservative
-    lookahead, so a reader of the bench point can see what the parallel
-    kernel would have had to work with on this host.
+    misleading 1.0.
     """
-    from repro.cluster.machine import MachineConfig
-    from repro.sim.parallel.plan import lookahead_of
-
-    mcfg = mcfg or MachineConfig()
     return {
         "parallel_speedup": None,
         "parallel_skipped": "jobs <= 1" if jobs <= 1 else "single-core host",
-        "fabric": mcfg.interconnect,
-        "lookahead_s": lookahead_of(mcfg),
     }
 
 
@@ -78,14 +70,7 @@ def run_suite(scale: Scale, jobs: int = 1) -> tuple[dict, dict]:
         figure2["wall_s"] = parallel_s
         figure2["parallel_speedup"] = serial_s / parallel_s
     else:
-        from repro.experiments.speedup import machine_for
-
-        figure2.update(
-            parallel_skip_info(
-                jobs, cpu_count,
-                mcfg=machine_for(scale, scale.processor_counts[-1], 0),
-            )
-        )
+        figure2.update(parallel_skip_info(jobs, cpu_count))
     experiments["figure2"] = figure2
 
     for name, runner in _experiment_runners(scale, jobs).items():

@@ -6,7 +6,8 @@ the same knobs:
 ``--scale``
     Run-size preset, overriding the ``REPRO_SCALE`` environment variable.
 ``--jobs``
-    Worker processes for :func:`repro.experiments.runner.parallel_map`.
+    Worker processes for :func:`repro.experiments.runner.parallel_map`
+    (``0`` = one per CPU; default: ``REPRO_JOBS``, serial when unset).
 ``--faults``
     A :meth:`repro.faults.plan.FaultPlan.parse` spec turning the run
     into a chaos experiment (GA-capable drivers only; see DESIGN.md §9).
@@ -33,6 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from repro.experiments.config import Scale, current_scale
+from repro.experiments.runner import resolve_jobs
 from repro.faults.plan import FaultPlan
 
 _SCALES = {"smoke": Scale.smoke, "default": Scale.default, "full": Scale.full}
@@ -43,13 +45,11 @@ class ExperimentArgs:
     """Resolved common options shared by every experiment driver."""
 
     scale: Scale
-    jobs: int | None
+    #: resolved worker count (repro.experiments.runner.resolve_jobs)
+    jobs: int
     faults: FaultPlan | None
     trace: str | None
     metrics: str | None
-    #: worker shards for the bounded-lag parallel kernel (per trial);
-    #: 1 = serial kernel (repro.sim.parallel, DESIGN.md §13)
-    shards: int = 1
     #: host-time profile destination for the traced trial (DESIGN.md §15)
     profile: str | None = None
     #: run-store root to archive the traced trial into
@@ -75,7 +75,10 @@ def experiment_parser(
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the trial fan-out (default: auto)",
+        help=(
+            "worker processes for the trial fan-out; 0 = one per CPU "
+            "(default: the REPRO_JOBS environment variable, serial when unset)"
+        ),
     )
     if faults:
         parser.add_argument(
@@ -88,19 +91,6 @@ def experiment_parser(
                 "(see repro.faults.plan.FaultPlan.parse)"
             ),
         )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "run each simulated trial on the bounded-lag parallel kernel "
-            "across N worker processes (bit-identical to serial; see "
-            "docs/parallel-kernel.md). Orthogonal to --jobs, which fans "
-            "out independent trials — prefer --jobs when there are many "
-            "trials, --shards when one big trial dominates"
-        ),
-    )
     parser.add_argument(
         "--trace",
         default=None,
@@ -160,16 +150,16 @@ def parse_experiment_args(
             "pause/slow node faults (see DESIGN.md §9)",
             file=sys.stderr,
         )
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
-        parser.error(f"--shards must be >= 1, got {shards}")
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
     return ExperimentArgs(
         scale=scale,
-        jobs=args.jobs,
+        jobs=jobs,
         faults=faults,
         trace=args.trace,
         metrics=args.metrics,
-        shards=shards,
         profile=args.profile,
         store=args.store,
     )

@@ -20,9 +20,7 @@ from repro.experiments.speedup import (
 )
 
 
-def run_figure2(
-    scale: Scale | None = None, jobs: int | None = None, shards: int = 1
-) -> list[dict]:
+def run_figure2(scale: Scale | None = None, jobs: int | None = None) -> list[dict]:
     """One row per processor count: per-variant speedups for f1 and the
     all-function average, plus the best-vs-competitor gain.
 
@@ -43,7 +41,7 @@ def run_figure2(
     trials = parallel_map(
         run_ga_trial,
         [
-            (scale, fid, P, 1000 * r + fid, variants, 0.0, None, shards)
+            (scale, fid, P, 1000 * r + fid, variants)
             for (P, fid, r) in keys
         ],
         jobs=jobs,
@@ -121,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         faults=False,
     )
     args = parse_experiment_args(parser, argv)
-    print(format_figure2(run_figure2(args.scale, jobs=args.jobs, shards=args.shards)))
+    print(format_figure2(run_figure2(args.scale, jobs=args.jobs)))
     write_observability(
         args, app="ga", n_nodes=args.scale.processor_counts[-1]
     )

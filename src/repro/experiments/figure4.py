@@ -30,7 +30,6 @@ def run_figure4(
     scale: Scale | None = None,
     jobs: int | None = None,
     faults: FaultPlan | None = None,
-    shards: int = 1,
 ) -> list[dict]:
     """One row per offered load: per-variant speedups on the loaded 4-node machine."""
     scale = scale or current_scale()
@@ -46,7 +45,7 @@ def run_figure4(
     trials = parallel_map(
         run_ga_trial,
         [
-            (scale, fid, FIGURE4_PROCS, 1000 * r + fid, variants, load, faults, shards)
+            (scale, fid, FIGURE4_PROCS, 1000 * r + fid, variants, load, faults)
             for (load, fid, r) in keys
         ],
         jobs=jobs,
@@ -120,9 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fault plan: {args.faults.describe()}")
     print(
         format_figure4(
-            run_figure4(
-                args.scale, jobs=args.jobs, faults=args.faults, shards=args.shards
-            )
+            run_figure4(args.scale, jobs=args.jobs, faults=args.faults)
         )
     )
     # the traced representative run uses the sweep's heaviest load — the

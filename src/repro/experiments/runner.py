@@ -25,7 +25,8 @@ Knobs
     (no pool, no pickling); ``0`` or ``auto`` → one worker per CPU;
     any other integer → that many workers.
 ``jobs=`` argument
-    Per-call override of the environment knob.
+    Per-call override of the environment knob, read by the same rule:
+    ``0`` → one worker per CPU, a negative count is a ``ValueError``.
 
 The pool is created lazily per call and falls back to serial execution
 when process pools are unavailable (restricted sandboxes, missing
@@ -58,8 +59,17 @@ def configured_jobs(env: str | None = None) -> int:
         raise ValueError(
             f"{JOBS_ENV}={raw!r}; expected an integer, 'auto', or unset"
         ) from None
+    return _workers(n, JOBS_ENV)
+
+
+def resolve_jobs(jobs: int | None = None) -> int:
+    """Worker count for an explicit ``jobs``, else from ``REPRO_JOBS``."""
+    return configured_jobs() if jobs is None else _workers(jobs, "jobs")
+
+
+def _workers(n: int, source: str) -> int:
     if n < 0:
-        raise ValueError(f"{JOBS_ENV} must be >= 0, got {n}")
+        raise ValueError(f"{source} must be >= 0, got {n}")
     return n if n > 0 else (os.cpu_count() or 1)
 
 
@@ -81,8 +91,7 @@ def parallel_map(
     discarded); pool *creation* failures degrade to the serial path.
     """
     argslist = [tuple(a) for a in argtuples]
-    n = configured_jobs() if jobs is None else jobs
-    n = min(n, len(argslist))
+    n = min(resolve_jobs(jobs), len(argslist))
     if n <= 1:
         return [fn(*args) for args in argslist]
     try:

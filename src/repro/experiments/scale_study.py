@@ -18,17 +18,17 @@ Determinism contract
 :data:`SWITCHED_GOLDEN` pins SHA-256 digests of three canonical
 switched-fabric scenarios (ring wiring on the hierarchical tree, torus
 wiring on the fat-tree, all-to-all wiring through the single switch's
-hardware multicast tree).  ``--check`` reruns them serially *and* on the
-bounded-lag parallel kernel at shards ∈ {1, 2, 4} and requires every
+hardware multicast tree).  ``--check`` reruns them and requires every
 digest to match bit-for-bit — the switched-fabric extension of the
-GOLDEN/CHAOS_GOLDEN contract (DESIGN.md §8/§13/§14).
+GOLDEN/CHAOS_GOLDEN contract (DESIGN.md §8/§14).
 
 CLI
 ---
 ``python -m repro.experiments.scale_study`` runs the sweep;
 ``--check`` gates the SWITCHED_GOLDEN digests (CI: scale-smoke job);
-``--smoke`` runs the 256-deme ring scenario serially and 2-sharded and
-requires digest identity; ``--scale-proof N`` completes an N-deme ring
+``--smoke`` runs the 256-deme ring scenario untraced and traced and
+requires digest identity (writing the trace to ``--trace PATH``);
+``--scale-proof N`` completes an N-deme ring
 scenario (default 4096) and prints its shape; ``--analyze PATH``
 summarises a sweep JSON (from ``--out``) into the age × topology ×
 fabric staleness/wall table (archived as a run artifact with
@@ -45,13 +45,13 @@ import time
 
 from repro.cluster.machine import MachineConfig
 from repro.core.coherence import CoherenceMode
+from repro.bench.determinism import ga_digest
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import parallel_map
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 from repro.ga.operators import GaParams
-from repro.ga.sharded import ga_digest
 from repro.network.switched import SwitchedConfig
 
 #: fabrics the sweep crosses (see repro.network.switched)
@@ -105,8 +105,7 @@ def golden_scenarios() -> dict[str, IslandGaConfig]:
     """The canonical switched-fabric runs whose digests are pinned.
 
     Small enough to rerun in CI, but together they cover: every fabric
-    kind, structured + all-to-all wiring, the hardware multicast tree,
-    and the bounded-lag kernel's switched-fabric lookahead.
+    kind, structured + all-to-all wiring and the hardware multicast tree.
     """
     common = dict(
         n_demes=8, age=5, n_generations=30, population_size=20,
@@ -131,27 +130,17 @@ SWITCHED_GOLDEN = {
 }
 
 
-def check_switched_golden(shards_list: tuple[int, ...] = (1, 2, 4)) -> dict:
-    """Run every golden scenario at each shard count; compare digests.
+def check_switched_golden() -> dict:
+    """Run every golden scenario; compare its digest to the pinned one.
 
-    Returns per-scenario ``{"digest", "golden", "ok", "per_shards"}`` in
-    the chaos-matrix result shape.  ``ok`` requires the serial digest to
-    match the pinned golden *and* every sharded digest to match serial.
+    Returns per-scenario ``{"digest", "golden", "ok"}`` in the
+    chaos-matrix result shape.
     """
     out: dict = {}
     for name, cfg in golden_scenarios().items():
-        per_shards: dict[str, str] = {}
-        for shards in shards_list:
-            result = run_island_ga(cfg, shards=shards)
-            per_shards[str(shards)] = ga_digest(result)
+        digest = ga_digest(run_island_ga(cfg))
         golden = SWITCHED_GOLDEN.get(name, "")
-        serial = per_shards.get("1", next(iter(per_shards.values())))
-        out[name] = {
-            "digest": serial,
-            "golden": golden,
-            "ok": serial == golden and all(d == serial for d in per_shards.values()),
-            "per_shards": per_shards,
-        }
+        out[name] = {"digest": digest, "golden": golden, "ok": digest == golden}
     return out
 
 
@@ -159,9 +148,7 @@ def check_switched_golden(shards_list: tuple[int, ...] = (1, 2, 4)) -> dict:
 # The sweep
 # ---------------------------------------------------------------------------
 
-def _row(
-    scale: Scale, n_demes: int, topology: str, fabric: str, age: int, shards: int
-) -> dict:
+def _row(scale: Scale, n_demes: int, topology: str, fabric: str, age: int) -> dict:
     t0 = time.perf_counter()  # repro-lint: allow[RPR002] — harness timing
     cfg = scenario(
         n_demes,
@@ -171,7 +158,7 @@ def _row(
         n_generations=scale.ga_generations // 10,
         measure_warp=n_demes <= 256,
     )
-    result: IslandGaResult = run_island_ga(cfg, shards=shards)
+    result: IslandGaResult = run_island_ga(cfg)
     wall_s = time.perf_counter() - t0  # repro-lint: allow[RPR002]
     return {
         "n_demes": n_demes,
@@ -195,7 +182,6 @@ def run_scale_study(
     scale: Scale | None = None,
     deme_counts: tuple[int, ...] = (64, 256),
     jobs: int | None = None,
-    shards: int = 1,
 ) -> list[dict]:
     """The sweep: one row per (deme count × topology × fabric × age).
 
@@ -212,7 +198,7 @@ def run_scale_study(
     ]
     return parallel_map(
         _row,
-        [(scale, n, topo, fabric, age, shards) for (n, topo, fabric, age) in keys],
+        [(scale, n, topo, fabric, age) for (n, topo, fabric, age) in keys],
         jobs=jobs,
     )
 
@@ -367,30 +353,32 @@ def run_traced_stream(
 # ---------------------------------------------------------------------------
 
 def run_smoke(trace_path: str | None = None) -> dict:
-    """256-deme ring on the hierarchical fabric: serial vs 2-shard identity.
+    """256-deme ring on the hierarchical fabric: untraced vs traced identity.
 
-    The CI scale-smoke gate: the digests must match bit-for-bit, and the
-    (optionally written) merged trace must validate against the event
+    The CI scale-smoke gate: tracing is determinism-neutral, so the two
+    digests must match bit-for-bit, and the traced run's trace (written
+    to ``trace_path`` when given) must validate against the event
     schema.  Returns the comparison record.
     """
-    cfg = scenario(256, "ring", "hierarchical", age=5, n_generations=10)
-    serial_digest = ga_digest(run_island_ga(cfg))
-    from repro.ga.sharded import run_island_ga_sharded
-
-    sharded = run_island_ga_sharded(cfg, shards=2, trace_path=trace_path)
-    sharded_digest = ga_digest(sharded)
-    info = sharded.metrics.get("parallel", {})
+    untraced = run_island_ga(
+        scenario(256, "ring", "hierarchical", age=5, n_generations=10)
+    )
+    holder: dict = {}
+    traced = run_island_ga(
+        scenario(256, "ring", "hierarchical", age=5, n_generations=10, trace=True),
+        instrument=lambda dsm: holder.setdefault("dsm", dsm),
+    )
+    digest, traced_digest = ga_digest(untraced), ga_digest(traced)
+    if trace_path:
+        holder["dsm"].vm.kernel.obs.write_jsonl(trace_path)
     return {
         "n_demes": 256,
         "topology": "ring",
         "fabric": "hierarchical",
-        "serial_digest": serial_digest,
-        "sharded_digest": sharded_digest,
-        "ok": serial_digest == sharded_digest,
-        "sharded": bool(info.get("sharded")),
-        "fallback": info.get("fallback") or None,
-        "lookahead": info.get("lookahead"),
-        "trace": info.get("merged_trace") if trace_path else None,
+        "digest": digest,
+        "traced_digest": traced_digest,
+        "ok": digest == traced_digest,
+        "trace": trace_path,
     }
 
 
@@ -424,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="gate the SWITCHED_GOLDEN digests at shards {1,2,4} and exit",
+        help="gate the SWITCHED_GOLDEN digests and exit",
     )
     parser.add_argument(
         "--print-digests", action="store_true",
@@ -432,7 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="256-deme ring serial-vs-2-shard digest identity and exit",
+        help=(
+            "256-deme ring untraced-vs-traced digest identity (trace "
+            "written to --trace PATH) and exit"
+        ),
     )
     parser.add_argument(
         "--scale-proof", type=int, default=None, metavar="N",
@@ -513,13 +504,11 @@ def main(argv: list[str] | None = None) -> int:
         ok = True
         for name, row in report.items():
             status = "ok" if row["ok"] else "MISMATCH"
-            print(f"[scale_study] {name}: {status} "
-                  f"(shards {sorted(row['per_shards'])})")
+            print(f"[scale_study] {name}: {status}")
             if not row["ok"]:
                 ok = False
                 print(
-                    f"  digest {row['digest']}\n  golden {row['golden']}\n"
-                    f"  per-shards {row['per_shards']}",
+                    f"  digest {row['digest']}\n  golden {row['golden']}",
                     file=sys.stderr,
                 )
         return 0 if ok else 1
@@ -540,9 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(record, indent=2))
         return 0
 
-    rows = run_scale_study(
-        args.scale, deme_counts=tuple(ns.demes), jobs=args.jobs, shards=args.shards
-    )
+    rows = run_scale_study(args.scale, deme_counts=tuple(ns.demes), jobs=args.jobs)
     if ns.out:
         with open(ns.out, "w") as fh:
             json.dump(rows, fh, indent=2)

@@ -96,14 +96,8 @@ def run_ga_trial(
     variants: list[GaVariant],
     load_bps: float = 0.0,
     faults: FaultPlan | None = None,
-    shards: int = 1,
 ) -> GaTrial:
-    """One seed's serial baseline + every variant on P demes.
-
-    ``shards > 1`` runs each variant on the bounded-lag parallel kernel
-    (:mod:`repro.sim.parallel`) — bit-identical results, wall-clock
-    parallelism within the trial instead of across trials.
-    """
+    """One seed's serial baseline + every variant on P demes."""
     fn = get_function(fid)
     G = scale.ga_generations
     serial = run_serial_ga(fn, seed=seed, n_generations=G, population_size=50 * P)
@@ -122,7 +116,7 @@ def run_ga_trial(
             target=bar,
             machine=machine_for(scale, P, seed, load_bps, faults),
         )
-        r = run_island_ga(cfg, shards=shards)
+        r = run_island_ga(cfg)
         times[variant.label] = r.completion_time
         results[variant.label] = r
     return GaTrial(

@@ -90,7 +90,6 @@ def ga_warp(
     age: int,
     load_bps: float,
     faults: FaultPlan | None = None,
-    shards: int = 1,
 ) -> float:
     """Mean warp observed by an island GA run under background load."""
     fn = get_function(scale.ga_functions[0])
@@ -103,8 +102,7 @@ def ga_warp(
             n_generations=scale.ga_generations,
             seed=3,
             machine=machine_for(scale, 4, 3, load_bps, faults),
-        ),
-        shards=shards,
+        )
     )
     return r.mean_warp
 
@@ -113,7 +111,6 @@ def run_warp_study(
     scale: Scale | None = None,
     jobs: int | None = None,
     faults: FaultPlan | None = None,
-    shards: int = 1,
 ) -> dict:
     """Probe-stream warp per load level plus the GA-observed warp comparison."""
     scale = scale or current_scale()
@@ -129,7 +126,7 @@ def run_warp_study(
     warps = parallel_map(
         ga_warp,
         [
-            (scale, mode, age, scale.loads_bps[-1], faults, shards)
+            (scale, mode, age, scale.loads_bps[-1], faults)
             for (_, mode, age) in app_cells
         ],
         jobs=jobs,
@@ -176,9 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fault plan: {args.faults.describe()}")
     print(
         format_warp_study(
-            run_warp_study(
-                args.scale, jobs=args.jobs, faults=args.faults, shards=args.shards
-            )
+            run_warp_study(args.scale, jobs=args.jobs, faults=args.faults)
         )
     )
     write_observability(

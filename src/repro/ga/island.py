@@ -177,20 +177,13 @@ class _Recorder:
 
 
 class _LocalDeme:
-    """Authoritative deme computation (the serial path and owner shards).
+    """One deme's compute state: the non-simulated work of a deme.
 
-    The heavy, non-simulated work of one deme — fitness evaluation,
-    ``evolve_one_generation``, migrant extraction, incorporation — lives
-    behind this small interface so a sharded run can swap in a ghost
-    implementation (:mod:`repro.ga.sharded`) that replays records from
-    the owning shard instead of recomputing.  The simulated side of the
-    process (Compute charges, DSM traffic, barriers, Global_Reads) is
-    identical either way, which is what keeps sharded event streams
-    bit-identical to serial.
-
-    Every method is a pure reordering of the original inline code: all
-    numpy work still happens between the same two kernel events it did
-    before the refactor (pinned by the GOLDEN digests).
+    Fitness evaluation, ``evolve_one_generation``, migrant extraction and
+    incorporation live here; the simulated side of the process (Compute
+    charges, DSM traffic, barriers, Global_Reads) lives in
+    :func:`_deme_process`.  Each method runs inside one process step, so
+    it costs host time but never simulated time.
     """
 
     def __init__(self, cfg: IslandGaConfig, deme: int) -> None:
@@ -250,16 +243,8 @@ class _LocalDeme:
         return self.best_so_far
 
 
-def _deme_process(
-    cfg: IslandGaConfig, dsm: Dsm, deme: int, recorder: _Recorder, model=None
-):
-    """Build the simulated process for one deme.
-
-    ``model`` is the execution-model factory: ``(cfg, deme) ->`` an
-    object with the :class:`_LocalDeme` interface.  ``None`` (the serial
-    default) computes locally; :mod:`repro.ga.sharded` substitutes
-    owner/ghost implementations for sharded runs.
-    """
+def _deme_process(cfg: IslandGaConfig, dsm: Dsm, deme: int, recorder: _Recorder):
+    """Build the simulated process for one deme."""
     fn = cfg.fn
     enc = BinaryEncoding.for_function(fn, gray=cfg.gray)
     n_mig = max(1, int(round(cfg.migration_fraction * cfg.params.population_size)))
@@ -272,7 +257,7 @@ def _deme_process(
     migrant_nbytes = n_mig * (enc.nbytes + 8)
 
     def proc(node, task):
-        exec_ = (model or _LocalDeme)(cfg, deme)
+        exec_ = _LocalDeme(cfg, deme)
         dnode = dsm.node(deme)
         age_ctl = None
         if cfg.dynamic_age and cfg.mode is CoherenceMode.NON_STRICT:
@@ -331,31 +316,14 @@ def _deme_process(
     return proc
 
 
-def run_island_ga(
-    cfg: IslandGaConfig, instrument=None, shards: int = 1, deme_model=None
-) -> IslandGaResult:
+def run_island_ga(cfg: IslandGaConfig, instrument=None) -> IslandGaResult:
     """Execute one island-GA run on a freshly built machine.
 
     ``instrument``, if given, is called with the freshly built
     :class:`~repro.core.dsm.Dsm` before any process is spawned — the
     race classifier (:mod:`repro.analysis.races`) attaches itself this
     way without perturbing the run.
-
-    ``shards > 1`` executes the run on the bounded-lag parallel kernel
-    (:mod:`repro.sim.parallel`): worker processes each replay the full
-    event stream but only compute the demes they own, so the result is
-    bit-identical to serial (DESIGN.md §13).  Falls back to serial —
-    with the reason recorded under ``result.metrics["parallel"]`` —
-    when the run cannot shard (noisy fitness function, single deme,
-    instrument hook) or worker processes cannot start.
-
-    ``deme_model`` is the internal execution-model hook used by the
-    sharded workers themselves; see :func:`_deme_process`.
     """
-    if shards > 1 and deme_model is None:
-        from repro.ga.sharded import run_island_ga_sharded
-
-        return run_island_ga_sharded(cfg, shards=shards, instrument=instrument)
     mcfg = cfg.machine or MachineConfig(n_nodes=cfg.n_demes, seed=cfg.seed, measure_warp=True)
     if mcfg.n_nodes != cfg.n_demes:
         raise ValueError(
@@ -381,9 +349,7 @@ def run_island_ga(
         )
     recorder = _Recorder(cfg.target)
     handles = [
-        machine.spawn_on(
-            d, _deme_process(cfg, dsm, d, recorder, model=deme_model), name=f"deme{d}"
-        )
+        machine.spawn_on(d, _deme_process(cfg, dsm, d, recorder), name=f"deme{d}")
         for d in range(cfg.n_demes)
     ]
     counter = CompletionCounter(handles)

@@ -30,15 +30,13 @@ Topology kinds
     ``(seed, n_demes, d)``, never on evaluation order.
 
 Every function is a pure function of the spec — no hidden state — so
-shard workers, the serial kernel and the experiment drivers all derive
-the identical wiring.
+the kernel and the experiment drivers all derive the identical wiring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 TOPOLOGIES = ("all", "ring", "torus", "hierarchical", "random")
@@ -134,17 +132,3 @@ def readers_of(spec: TopologySpec, writer: int, n_demes: int) -> tuple[int, ...]
         )
     return tuple(in_peers(spec, writer, n_demes))
 
-
-def comm_graph(spec: TopologySpec, n_demes: int, migrant_nbytes: int) -> nx.Graph:
-    """The migration pattern as the shard partitioner's unit graph.
-
-    Undirected — the bounded-lag planner cares about which demes
-    communicate at all, not direction — with every deme present as a
-    node (isolated demes still need an owner shard).
-    """
-    g = nx.Graph()
-    g.add_nodes_from(range(n_demes))
-    for d in range(n_demes):
-        for p in in_peers(spec, d, n_demes):
-            g.add_edge(d, p, weight=float(migrant_nbytes))
-    return g

@@ -106,11 +106,9 @@ class SwitchedConfig:
 
         The closest pair of distinct nodes shares an edge switch (radix
         >= 2), so the minimum path is host-up, one switch, host-down —
-        independent of fabric kind and node count.  This is the
-        conservative-PDES lookahead :func:`repro.sim.parallel.plan.
-        lookahead_of` feeds the bounded-lag kernel: unlike the shared
-        Ethernet (whose arbitration gives zero frame-level lookahead
-        past the minimum frame), it is a *real* per-link latency floor.
+        independent of fabric kind and node count.  Every delivery
+        takes at least this long, which the network property tests
+        check as a lower bound on observed frame latency.
         """
         tx = self.tx_time(0)
         return 2.0 * (tx + self.link_latency) + self.switch_latency

@@ -36,7 +36,7 @@ from repro.obs.causal import (
     critical_path,
     node_segments,
 )
-from repro.obs.report import fabric_summary, parallel_summary, warp_streams
+from repro.obs.report import fabric_summary, warp_streams
 
 #: display order, labels and CSS classes of the attribution buckets
 _BUCKET_ORDER = ("compute", "gr_blocking", "network", "rollback")
@@ -358,29 +358,6 @@ def _attribution_table(attr: dict) -> str:
     )
 
 
-def _parallel_table(events: list[ObsEvent]) -> str:
-    """Bounded-lag window card: per-shard barrier-wait table, or ''."""
-    s = parallel_summary(events)
-    if s is None:
-        return ""
-    rows = "".join(
-        "<tr><td>shard {s}</td><td>{w}</td><td>{e}</td><td>{n}</td>"
-        "<td>{t}</td></tr>".format(
-            s=_esc(shard), w=int(r["windows"]), e=int(r["max_epoch"]),
-            n=int(r["waits"]), t=_fmt(r["wall_wait_s"]),
-        )
-        for shard, r in s["per_shard"].items()
-    )
-    return (
-        "<section class='card'><h2>Parallel kernel — bounded-lag windows"
-        "</h2><p class='sub'>"
-        f"{s['shards']} shards · {_fmt(s['total_wall_wait_s'])}s total "
-        "barrier wait</p><table><thead><tr><th>shard</th><th>windows</th>"
-        "<th>last epoch</th><th>waits</th><th>wall wait (s)</th></tr>"
-        f"</thead><tbody>{rows}</tbody></table></section>"
-    )
-
-
 def _fabric_table(events: list[ObsEvent]) -> str:
     """Switched-fabric delivery card (hops, broadcast, occupancy), or ''."""
     s = fabric_summary(events)
@@ -518,8 +495,8 @@ def render_dashboard(
     """Render one trace as a self-contained HTML page (a string).
 
     ``prof`` is an optional ``repro-obs-prof/1`` envelope rendered as a
-    host-time flame card; parallel-kernel window and switched-fabric
-    cards appear automatically when the trace carries those events.
+    host-time flame card; the switched-fabric card appears automatically
+    when the trace carries those events.
     """
     events = sorted(events, key=lambda e: e.time)
     g = build_spans(events)
@@ -566,7 +543,7 @@ def render_dashboard(
 <div><h2>Global_Read staleness histogram</h2>
 {_staleness_svg(events)}</div>
 </section>
-{_parallel_table(events)}{_fabric_table(events)}<section class='card'><h2>Wall-time attribution per node</h2>
+{_fabric_table(events)}<section class='card'><h2>Wall-time attribution per node</h2>
 {_attribution_table(attr)}</section>
 {_profile_card(prof)}
 <footer>rendered by repro.obs dashboard · trace schema

@@ -54,7 +54,7 @@ def _finish_profile(prof) -> dict:
     from repro.obs.prof import deactivate, profile_report
 
     deactivate()
-    return profile_report(prof.snapshot(), [], meta=dict(prof.meta))
+    return profile_report(prof.snapshot(), meta=dict(prof.meta))
 
 
 def traced_ga_run(

@@ -4,10 +4,7 @@ The causal layer (:mod:`repro.obs.causal`) explains **simulated** time
 — who blocked whom, which write unblocked which reader.  This module
 answers the orthogonal question the bench trajectory keeps raising:
 where does the *host* wall clock go while the simulator runs?  Kernel
-loop bookkeeping, numpy population math, fabric arithmetic, obs I/O, or
-the parallel kernel's IPC barrier waits?  (Lubachevsky's parallel
-cellular-array papers justify a parallel scheme exactly this way:
-utilization and overhead measurement, not just speedup.)
+loop bookkeeping, numpy population math, fabric arithmetic or obs I/O?
 
 Design constraints, in priority order:
 
@@ -37,8 +34,8 @@ Two hook styles feed the profiler:
   ``pvm`` / …;
 * **ambient sections** — ``with prof_section("numpy.ga"): ...`` —
   mark regions that run *inside* a kernel event but belong to another
-  subsystem (numpy compute in the deme step, gzip trace flushes,
-  worker IPC waits).  They no-op unless a profiler is activated for
+  subsystem (numpy compute in the deme step, gzip trace flushes).
+  They no-op unless a profiler is activated for
   the current process.
 
 ``python -m repro.obs report --prof prof.json`` and the dashboard
@@ -60,7 +57,6 @@ ROOT = "(unattributed)"
 #: module-prefix -> section name for kernel event callbacks, first
 #: match wins (checked most-specific first)
 MODULE_SECTIONS: tuple[tuple[str, str], ...] = (
-    ("repro.sim.parallel", "par.harness"),
     ("repro.sim", "proc.step"),
     ("repro.network", "network"),
     ("repro.pvm", "pvm"),
@@ -112,7 +108,7 @@ class HostProfiler:
         self._last = 0.0
         self._t_start: float | None = None
         self.total_s = 0.0
-        #: free-form provenance merged into the snapshot (shard id, app)
+        #: free-form provenance merged into the snapshot (app)
         self.meta: dict[str, Any] = {}
 
     # -- lifecycle ------------------------------------------------------
@@ -231,7 +227,7 @@ def prof_section(name: str) -> Iterator[None]:
 
     This is the obs-style guard for subsystems without a kernel
     reference — the numpy block in the deme step, the gzip trace
-    flush, the worker's IPC barrier wait.  Cost when profiling is off:
+    flush.  Cost when profiling is off:
     one module-global read.
     """
     prof = _CURRENT
@@ -250,23 +246,12 @@ def prof_section(name: str) -> Iterator[None]:
 # ---------------------------------------------------------------------------
 
 def profile_report(
-    main: dict[str, Any],
-    shards: list[dict[str, Any]] | None = None,
-    meta: dict[str, Any] | None = None,
+    main: dict[str, Any], meta: dict[str, Any] | None = None
 ) -> dict[str, Any]:
-    """Bundle snapshots into the ``repro-obs-prof/1`` envelope.
-
-    ``main`` is the coordinating process's snapshot; ``shards`` the
-    per-worker snapshots of a sharded run (empty for serial runs).
-    """
+    """Bundle a profiler snapshot into the ``repro-obs-prof/1`` envelope."""
     from repro.util.envelope import make_envelope
 
-    payload: dict[str, Any] = {
-        "main": main,
-        "shards": shards or [],
-        "meta": meta or {},
-    }
-    return make_envelope(PROF_SCHEMA, payload)
+    return make_envelope(PROF_SCHEMA, {"main": main, "meta": meta or {}})
 
 
 def _bar(frac: float, width: int = 30) -> str:
@@ -301,9 +286,6 @@ def render_profile(env: dict[str, Any]) -> str:
     share of the profiled wall interval, indentation mirrors nesting.
     """
     parts = [_render_snapshot(env["main"], "Host-time profile (main process)")]
-    for snap in env.get("shards", []):
-        label = snap.get("shard", "?")
-        parts.append(_render_snapshot(snap, f"Shard {label} worker"))
     meta = env.get("meta") or {}
     if meta:
         parts.append(
@@ -316,27 +298,22 @@ def profile_html(env: dict[str, Any]) -> str:
     """A self-contained HTML fragment (flame-style bars) for the dashboard."""
     from html import escape
 
-    def rows(snap: dict[str, Any], title: str) -> str:
-        total = float(snap.get("total_s", 0.0)) or 1.0
-        out = [
-            f"<h3>{escape(title)} — {snap.get('total_s', 0.0):.3f}s, "
-            f"{snap.get('attributed_fraction', 0.0):.1%} attributed</h3>"
-        ]
-        sections = snap.get("sections", {})
-        for path in sorted(sections, key=lambda p: (-sections[p]["self_s"], p)):
-            row = sections[path]
-            frac = float(row["self_s"]) / total
-            indent = 12 * path.count("/")
-            out.append(
-                "<div class='profrow' style='margin-left:%dpx'>"
-                "<span class='profbar' style='width:%.2f%%'></span>"
-                "<span class='proflbl'>%s %.1f%% (%.3fs, x%d)</span></div>"
-                % (indent, 100.0 * frac, escape(path), 100.0 * frac,
-                   row["self_s"], row.get("calls", 0))
-            )
-        return "\n".join(out)
-
-    parts = [rows(env["main"], "main process")]
-    for snap in env.get("shards", []):
-        parts.append(rows(snap, f"shard {snap.get('shard', '?')} worker"))
-    return "\n".join(parts)
+    snap = env["main"]
+    total = float(snap.get("total_s", 0.0)) or 1.0
+    out = [
+        f"<h3>main process — {snap.get('total_s', 0.0):.3f}s, "
+        f"{snap.get('attributed_fraction', 0.0):.1%} attributed</h3>"
+    ]
+    sections = snap.get("sections", {})
+    for path in sorted(sections, key=lambda p: (-sections[p]["self_s"], p)):
+        row = sections[path]
+        frac = float(row["self_s"]) / total
+        indent = 12 * path.count("/")
+        out.append(
+            "<div class='profrow' style='margin-left:%dpx'>"
+            "<span class='profbar' style='width:%.2f%%'></span>"
+            "<span class='proflbl'>%s %.1f%% (%.3fs, x%d)</span></div>"
+            % (indent, 100.0 * frac, escape(path), 100.0 * frac,
+               row["self_s"], row.get("calls", 0))
+        )
+    return "\n".join(out)

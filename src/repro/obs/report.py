@@ -349,53 +349,6 @@ def render_faults(events: list[ObsEvent]) -> str:
     )
 
 
-def parallel_summary(events: list[ObsEvent]) -> dict | None:
-    """Per-shard bounded-lag window stats from ``par.window`` spans.
-
-    A merged parallel-kernel trace (:func:`repro.sim.parallel.trace.
-    merge_shard_traces`) carries one span per shard per floor epoch;
-    this aggregates them into the utilization view: window count, total
-    wall-clock barrier wait and wait events per shard.
-    """
-    spans = [e for e in events if e.kind == "par.window"]
-    if not spans:
-        return None
-    per_shard: dict[int, dict[str, float]] = {}
-    for e in spans:
-        row = per_shard.setdefault(
-            int(e.fields.get("shard", -1)),
-            {"windows": 0, "wall_wait_s": 0.0, "waits": 0, "max_epoch": 0},
-        )
-        row["windows"] += 1
-        row["wall_wait_s"] += float(e.fields.get("wall_wait_s", 0.0))
-        row["waits"] += int(e.fields.get("waits", 0))
-        row["max_epoch"] = max(row["max_epoch"], int(e.fields.get("epoch", 0)))
-    return {
-        "shards": len(per_shard),
-        "per_shard": {str(s): per_shard[s] for s in sorted(per_shard)},
-        "total_wall_wait_s": sum(r["wall_wait_s"] for r in per_shard.values()),
-    }
-
-
-def render_parallel(events: list[ObsEvent]) -> str:
-    """The bounded-lag parallel-kernel section (sharded runs only)."""
-    s = parallel_summary(events)
-    if s is None:
-        return ""
-    rows = [
-        [shard, int(r["windows"]), int(r["max_epoch"]), int(r["waits"]), r["wall_wait_s"]]
-        for shard, r in s["per_shard"].items()
-    ]
-    return _table(
-        ["shard", "windows", "last epoch", "waits", "wall wait (s)"],
-        rows,
-        title=(
-            "Parallel kernel (bounded-lag windows) — "
-            f"{s['shards']} shards, {s['total_wall_wait_s']:.3g}s total barrier wait"
-        ),
-    )
-
-
 def fabric_summary(events: list[ObsEvent]) -> dict | None:
     """Switched-fabric delivery stats from annotated ``net.deliver``.
 
@@ -502,7 +455,6 @@ def render_report(
         render_blocking(events),
         render_rollback(events),
         render_warp(events),
-        render_parallel(events),
         render_fabric(events),
         render_commits(events),
         render_faults(events),
@@ -578,7 +530,6 @@ def report_dict(
         },
         "rollback": rollback_summary(events),
         "warp": {"streams": warp, "all": _warp_stats(all_samples) if all_samples else None},
-        "parallel": parallel_summary(events),
         "fabric": fabric_summary(events),
         "commits": commit_summary(events),
         "faults": fault_counts(events),

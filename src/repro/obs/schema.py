@@ -64,13 +64,6 @@ TRACE_SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
     "bn.commit": {"runs": int, "total": int},
     "gvt.advance": {"floor": int},
     "fault.": {"amount?": _NUM, "src?": int, "frame_kind?": str},
-    # bounded-lag parallel kernel (repro.sim.parallel): one event per
-    # shard per floor epoch in a merged trace, attributing wall-clock
-    # synchronization waits to the window the shard was in
-    "par.window": {
-        "shard": int, "epoch?": int, "window?": int,
-        "wall_wait_s?": _NUM, "waits?": int,
-    },
 }
 
 

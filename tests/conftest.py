@@ -5,11 +5,11 @@ to attach the happens-before race classifier to every DSM built in any
 test and fail on consistency-invariant violations (see
 :mod:`repro.analysis.fixtures`).
 
-The scenario builders (``island_cfg`` / ``run_island`` /
-``golden_island``) are the shared way tests construct island-GA runs —
-one place owns the deme-count / migration-topology / fabric
-parametrization, so a new machine knob means one fixture edit, not a
-sweep over copy-pasted ``IslandGaConfig`` literals.
+The scenario builders (``island_cfg`` / ``run_island``) are the shared
+way tests construct island-GA runs — one place owns the deme-count /
+migration-topology / fabric parametrization, so a new machine knob means
+one fixture edit, not a sweep over copy-pasted ``IslandGaConfig``
+literals.
 """
 
 import pytest
@@ -76,32 +76,7 @@ def run_island():
     """Factory fixture: build and run one island-GA scenario."""
     from repro.ga import run_island_ga
 
-    def _run(mode=None, shards=1, **kw):
-        return run_island_ga(build_island_cfg(mode=mode, **kw), shards=shards)
+    def _run(mode=None, **kw):
+        return run_island_ga(build_island_cfg(mode=mode, **kw))
 
     return _run
-
-
-@pytest.fixture
-def golden_island():
-    """Factory fixture: the GOLDEN ``ga_result`` recipe.
-
-    The exact configuration whose digest is pinned in
-    ``repro.bench.determinism.GOLDEN`` (optionally with a fault plan) —
-    tests of the parallel kernel and the chaos matrix both anchor on it.
-    """
-    from repro.core.coherence import CoherenceMode
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
-
-    def _build(faults=None):
-        return build_island_cfg(
-            mode=CoherenceMode.NON_STRICT,
-            age=10,
-            demes=2,
-            gens=40,
-            seed=7,
-            machine=machine_for(Scale.smoke(), 2, 7, faults=faults),
-        )
-
-    return _build

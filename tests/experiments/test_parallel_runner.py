@@ -1,10 +1,17 @@
 """The parallel experiment runner: job parsing, ordering, fallback."""
 
 import os
+from concurrent.futures import Future
 
 import pytest
 
-from repro.experiments.runner import JOBS_ENV, configured_jobs, parallel_map
+from repro.experiments import runner
+from repro.experiments.runner import (
+    JOBS_ENV,
+    configured_jobs,
+    parallel_map,
+    resolve_jobs,
+)
 
 
 def _square(x):
@@ -41,6 +48,60 @@ class TestConfiguredJobs:
     def test_reads_process_environment_by_default(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "3")
         assert configured_jobs() == 3
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestExplicitJobs:
+    """An explicit ``jobs``/``--jobs`` follows the ``REPRO_JOBS`` rule:
+    0 means one worker per CPU, a negative count is an error."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.sizes = []
+
+    def test_jobs_zero_fans_out_like_env_zero(self, two_cpus):
+        assert resolve_jobs(0) == configured_jobs("0") == 2
+        assert parallel_map(_square, [(i,) for i in range(4)], jobs=0) == [
+            0, 1, 4, 9,
+        ]
+        assert _RecordingPool.sizes == [2]
+
+    def test_negative_jobs_raise(self, two_cpus):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            parallel_map(_square, [(1,), (2,)], jobs=-3)
+        assert _RecordingPool.sizes == []
+
+    def test_cli_jobs_zero_resolves_like_env_zero(self, two_cpus):
+        from repro.experiments.cli import experiment_parser, parse_experiment_args
+
+        args = parse_experiment_args(experiment_parser("t"), ["--jobs", "0"])
+        assert args.jobs == configured_jobs("0") == 2
+
+    def test_cli_rejects_negative_jobs_with_usage_error(self, capsys):
+        from repro.experiments.figure2 import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "-1"])
+        assert exc.value.code == 2
+        assert "jobs must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestParallelMap:

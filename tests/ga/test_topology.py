@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.ga.topology import (
     TOPOLOGIES,
     TopologySpec,
-    comm_graph,
     grid_shape,
     in_peers,
     readers_of,
@@ -125,16 +124,6 @@ def test_property_symmetric_kinds_are_symmetric(spec, n):
         return
     for d in range(n):
         assert readers_of(spec, d, n) == tuple(in_peers(spec, d, n))
-
-
-@settings(max_examples=30, deadline=None)
-@given(topo_specs, st.integers(min_value=2, max_value=32))
-def test_property_comm_graph_covers_every_deme(spec, n):
-    g = comm_graph(spec, n, 100)
-    assert sorted(g.nodes) == list(range(n))
-    for d in range(n):
-        for p in in_peers(spec, d, n):
-            assert g.has_edge(d, p)
 
 
 @settings(max_examples=30, deadline=None)

@@ -173,11 +173,3 @@ class TestMachineIntegration:
 
         with pytest.raises(ValueError, match="hw_multicast"):
             MachineConfig(n_nodes=4, interconnect="ethernet", hw_multicast=True)
-
-    def test_lookahead_is_the_fabric_min_latency(self):
-        from repro.cluster import MachineConfig
-        from repro.sim.parallel import lookahead_of
-
-        mcfg = MachineConfig(n_nodes=4, interconnect="switched")
-        assert lookahead_of(mcfg) == pytest.approx(mcfg.switched.min_latency())
-        assert lookahead_of(mcfg) > 0

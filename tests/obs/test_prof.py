@@ -63,7 +63,6 @@ def test_stop_unwinds_open_sections():
 
 
 def test_category_mapping():
-    assert category_of_module("repro.sim.parallel.channel") == "par.harness"
     assert category_of_module("repro.sim.kernel") == "proc.step"
     assert category_of_module("repro.network.switched") == "network"
     assert category_of_module("repro.ga.island") == "app.ga"
@@ -92,11 +91,10 @@ def test_envelope_and_renderings():
     with prof.section("kernel.loop"):
         pass
     prof.stop()
-    env = profile_report(prof.snapshot(), [dict(prof.snapshot(), shard=0)],
-                         meta={"app": "test"})
+    env = profile_report(prof.snapshot(), meta={"app": "test"})
     assert env["schema"] == "repro-obs-prof/1"
     text = render_profile(env)
-    assert "kernel.loop" in text and "Shard 0 worker" in text
+    assert "kernel.loop" in text and "app=test" in text
     html = profile_html(env)
     assert "profrow" in html and "kernel.loop" in html
 
@@ -105,13 +103,12 @@ def test_golden_digest_unmoved_with_profiling_on():
     """The GOLDEN ga_result recipe, profiled + traced: digest identical."""
     from dataclasses import replace
 
-    from repro.bench.determinism import GOLDEN
+    from repro.bench.determinism import GOLDEN, ga_digest
     from repro.core.coherence import CoherenceMode
     from repro.experiments.config import Scale
     from repro.experiments.speedup import machine_for
     from repro.ga.functions import get_function
     from repro.ga.island import IslandGaConfig, run_island_ga
-    from repro.ga.sharded import ga_digest
 
     prof = activate(HostProfiler())
     try:
@@ -152,9 +149,9 @@ def test_bayes_golden_unmoved_with_profiling_on():
 
 
 def test_switched_golden_unmoved_with_profiling_on():
+    from repro.bench.determinism import ga_digest
     from repro.experiments.scale_study import SWITCHED_GOLDEN, golden_scenarios
     from repro.ga.island import run_island_ga
-    from repro.ga.sharded import ga_digest
 
     cfg = golden_scenarios()["ring-hierarchical"]
     prof = activate(HostProfiler())
@@ -165,31 +162,6 @@ def test_switched_golden_unmoved_with_profiling_on():
     finally:
         deactivate()
     assert ga_digest(result) == SWITCHED_GOLDEN["ring-hierarchical"]
-
-
-def test_sharded_run_ships_per_shard_profiles():
-    from repro.core.coherence import CoherenceMode
-    from repro.ga.functions import get_function
-    from repro.ga.island import IslandGaConfig, run_island_ga
-    from repro.ga.sharded import ga_digest, run_island_ga_sharded
-
-    cfg = IslandGaConfig(
-        fn=get_function(1), n_demes=4, mode=CoherenceMode.NON_STRICT,
-        age=8, n_generations=10, seed=3,
-    )
-    serial = ga_digest(run_island_ga(cfg))
-    result = run_island_ga_sharded(cfg, shards=2, profile=True)
-    assert ga_digest(result) == serial  # profiling is determinism-neutral
-    info = result.metrics["parallel"]
-    if not info["sharded"]:  # platform without worker processes
-        return
-    profs = info["prof"]
-    assert len(profs) == 2
-    for k, snap in enumerate(profs):
-        assert snap["shard"] == k
-        assert snap["total_s"] > 0.0
-        assert "kernel.loop" in snap["sections"]
-        assert any("par.ipc" in path for path in snap["sections"])
 
 
 def test_traced_profiled_trial_attribution():
